@@ -5,7 +5,7 @@ The benchmark suite writes machine-readable perf records at the repository
 root (``BENCH_sweep.json``, ``BENCH_serving.json``,
 ``BENCH_serving_scale.json``, ``BENCH_cluster.json``,
 ``BENCH_optimize.json``, ``BENCH_faults.json``, ``BENCH_obs.json``,
-``BENCH_gateway.json``);
+``BENCH_gateway.json``, ``BENCH_codec.json``);
 this script compares them against the copies committed under
 ``benchmarks/baselines/`` and turns the comparison into a CI verdict:
 
@@ -110,6 +110,12 @@ BENCH_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("warm_wall_seconds", "wall"),
         Metric("warm_simulations", "count"),
         Metric("warm_hit_rate", "rate"),
+    ),
+    "BENCH_codec.json": (
+        Metric("encode_wall_seconds", "wall"),
+        Metric("encode_rows_per_wall_second", "throughput"),
+        Metric("decode_wall_seconds", "wall"),
+        Metric("decode_rows_per_wall_second", "throughput"),
     ),
 }
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+from repro.codec import encode
 from repro.common import Precision, ceil_div
 from repro.core.config import TPUConfig
 from repro.workloads.dit import DiTConfig
@@ -160,7 +161,7 @@ class FleetEvaluation:
 
     def to_dict(self) -> dict[str, object]:
         """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
+        return encode(self)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ read ``.error``.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
+
+from repro.codec import encode
 
 #: The closed set of error codes the facade and gateway emit.  Codes are
 #: contract, not prose: clients branch on them, so adding one is an API
@@ -62,7 +63,7 @@ class ApiError:
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form returned as JSON by the gateway."""
-        return dataclasses.asdict(self)
+        return encode(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ApiError":

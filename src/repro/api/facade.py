@@ -83,40 +83,26 @@ def simulate(request: SimulateRequest, *, store: "ResultStore | None" = None,
     cluster store's row-free convention.  Either way a warm repeat is
     byte-identical to the cold run.
     """
-    from repro.serving.cluster import (
-        STORE_KIND as CLUSTER_STORE_KIND,
-        cluster_run_key,
-        simulate_cluster,
-    )
-    from repro.serving.simulator import (
-        SERVING_STORE_KIND,
-        serving_run_key,
-        simulate_serving,
-    )
+    from repro.serving.cluster import load_or_simulate_cluster
+    from repro.serving.simulator import load_or_simulate_serving
 
     model, config, settings = request.resolve()
     spec = request.spec()
     fleet_run = spec.replicas > 1 or bool(spec.faults)
-    served = False
-    if store is not None:
-        # Membership, not stats deltas: exact even when concurrent gateway
-        # jobs share this store object.
-        if fleet_run:
-            key = (CLUSTER_STORE_KIND,
-                   cluster_run_key(model, config, spec, settings))
-        else:
-            key = (SERVING_STORE_KIND,
-                   serving_run_key(model, config, spec, settings))
-        served = key in store
     try:
+        # The engine's own outcome, not store membership or stats deltas:
+        # exact when concurrent gateway jobs share this store object, and
+        # a stored payload that did not decode counts as the recompute it
+        # caused.
         if fleet_run:
-            report = simulate_cluster(model, config, spec, settings,
-                                      store=store, telemetry=telemetry)
+            report, served = load_or_simulate_cluster(
+                model, config, spec, settings, store=store,
+                telemetry=telemetry)
             payload = report.to_dict(include_requests=False)
         else:
-            report = simulate_serving(model, config, spec, settings,
-                                      store=store, shards=request.shards,
-                                      telemetry=telemetry)
+            report, served = load_or_simulate_serving(
+                model, config, spec, settings, store=store,
+                shards=request.shards, telemetry=telemetry)
             payload = report.to_dict()
     except (ValueError, OSError) as error:
         raise _engine_error(error) from None

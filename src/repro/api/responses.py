@@ -14,9 +14,10 @@ same provenance header:
     property the gateway tests and the CI smoke gate assert.
 
 Result payloads are carried as plain JSON dicts (the engines' own
-``to_dict`` forms), so an envelope serialises exactly over HTTP and the
-``*_object`` helpers decode them back into the engines' report
-dataclasses for rich consumers like the CLI printers.  ``to_dict`` /
+``to_dict`` forms, encoded by :mod:`repro.codec`), so an envelope
+serialises exactly over HTTP and the ``*_object`` helpers decode them back
+into the engines' report dataclasses through the same codec for rich
+consumers like the CLI printers.  ``to_dict`` /
 ``from_dict`` round-trip byte-exactly: a response decoded from the wire
 re-encodes to the same JSON.
 """
@@ -30,6 +31,7 @@ from typing import Any, ClassVar
 
 from repro.api.errors import ApiError, ApiRequestError
 from repro.api.requests import SCHEMA_VERSION
+from repro.codec import decode
 
 
 def _decode_response(cls, payload: Mapping[str, Any]):
@@ -125,10 +127,9 @@ class FleetResponse(_Response):
     def plan_object(self):
         """The decoded :class:`~repro.analysis.capacity.FleetPlan`."""
         from repro.analysis.capacity import FleetEvaluation, FleetPlan
-        from repro.sweep.store import decode_dataclass
 
         data = dict(self.plan)
-        evaluations = tuple(decode_dataclass(FleetEvaluation, dict(row))
+        evaluations = tuple(decode(FleetEvaluation, row)
                             for row in data.get("evaluations", ()))
         return FleetPlan(model_name=data["model"], tpu_name=data["tpu"],
                          arrival_rate=data["arrival_rate"],

@@ -191,12 +191,16 @@ class JobManager:
 
     # ------------------------------------------------------------------ wait
     def wait(self, job_id: str, timeout: float = 60.0) -> Job:
-        """Block until the job reaches a terminal state (tests, CLI clients)."""
+        """Block until the job reaches a terminal state (tests, CLI clients).
+
+        The deadline runs on the monotonic clock: a wall-clock step (NTP,
+        a manual change) can neither cut the wait short nor stretch it.
+        """
         job = self.get(job_id)
-        deadline = time.time() + timeout  # repro-lint: disable=RPR001 (job wall timestamp, not simulation state)
+        deadline = time.monotonic() + timeout  # repro-lint: disable=RPR001 (wait deadline, not simulation state)
         with self._changed:
             while job.status not in TERMINAL_STATES:
-                remaining = deadline - time.time()  # repro-lint: disable=RPR001 (job wall timestamp, not simulation state)
+                remaining = deadline - time.monotonic()  # repro-lint: disable=RPR001 (wait deadline, not simulation state)
                 if remaining <= 0:
                     raise TimeoutError(
                         f"job '{job_id}' still {job.status} after {timeout}s")

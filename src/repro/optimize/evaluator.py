@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.capacity import fleet_lower_bound
+from repro.codec import encode
 from repro.common import Precision
 from repro.core.config import TPUConfig
 from repro.core.designs import PREDEFINED_DESIGNS
@@ -103,7 +104,7 @@ class CandidateResult:
 
     def to_dict(self) -> dict[str, object]:
         """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
+        return encode(self)
 
 
 class CandidateEvaluator:

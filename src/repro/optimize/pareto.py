@@ -18,18 +18,17 @@ artefact, not tribal knowledge.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.codec import decode, encode, field_names
 from repro.optimize.evaluator import CandidateResult
 from repro.optimize.objectives import Objective
 
 
 def frontier_fieldnames() -> tuple[str, ...]:
     """CSV column order of exported frontier rows (result fields + reach)."""
-    return tuple(field.name for field in dataclasses.fields(CandidateResult)
-                 ) + ("dominated_count",)
+    return field_names(CandidateResult) + ("dominated_count",)
 
 
 def scores(result: CandidateResult,
@@ -138,8 +137,8 @@ class ParetoFrontier:
         return list(self.points)
 
     def to_dict(self) -> dict[str, object]:
-        """Plain-dict form for JSON export."""
-        payload = dataclasses.asdict(self)
+        """Plain-dict form for JSON export (each point encoded once)."""
+        payload = encode(self, raw=("points", "extremes"))
         payload["points"] = [point.to_dict() for point in self.points]
         payload["extremes"] = [list(entry) for entry in self.extremes]
         return payload
@@ -160,7 +159,6 @@ def frontier_from_dict(payload: dict) -> ParetoFrontier:
         cache-style callers should treat these as a miss.
     """
     from repro.optimize.objectives import get_objective
-    from repro.sweep.store import decode_dataclass
 
     data = dict(payload)
     objectives = tuple(data["objectives"])
@@ -169,7 +167,7 @@ def frontier_from_dict(payload: dict) -> ParetoFrontier:
     for row in data["points"]:
         row = dict(row)
         dominated_count = row.pop("dominated_count")
-        result = decode_dataclass(CandidateResult, row)
+        result = decode(CandidateResult, row)
         points.append(ParetoPoint(
             result=result,
             values=tuple(objective.value(result) for objective in resolved),

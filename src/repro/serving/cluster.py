@@ -64,6 +64,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.codec import decode, encode, encode_rows
 from repro.common import Precision
 from repro.serving.autoscaler import AutoscalerPolicy, FleetView, get_autoscaler
 from repro.serving.faults import FaultEvent, FaultSpec, fault_timeline
@@ -81,7 +82,6 @@ from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
 from repro.sweep.cache import CachingInferenceSimulator
 from repro.sweep.fingerprint import fingerprint
-from repro.sweep.store import decode_dataclass
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sweep.store import ResultStore
@@ -142,7 +142,7 @@ class ReplicaSummary:
 
     def to_dict(self) -> dict[str, object]:
         """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
+        return encode(self)
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,12 @@ class ClusterReport:
         return self.cost_cache_hits / lookups if lookups else 0.0
 
     def to_dict(self, include_requests: bool = True) -> dict[str, object]:
-        """Plain-dict form (nested summaries inlined) for JSON export."""
-        payload = dataclasses.asdict(self)
+        """Plain-dict form (nested summaries inlined) for JSON export.
+
+        With ``include_requests=False`` the per-request rows are never
+        encoded at all, not encoded and then dropped.
+        """
+        payload = encode(self, raw=("replica_timeline", "requests"))
         payload["utilisation"] = self.utilisation
         payload["cost_cache_hits"] = self.cost_cache_hits
         payload["cost_cache_misses"] = self.cost_cache_misses
@@ -241,7 +245,7 @@ class ClusterReport:
         if not include_requests:
             del payload["requests"]
         else:
-            payload["requests"] = [request.to_dict() for request in self.requests]
+            payload["requests"] = encode_rows(self.requests)
         return payload
 
 
@@ -816,38 +820,20 @@ def cluster_report_from_dict(payload: Mapping[str, object]) -> ClusterReport:
 
     The inverse of :meth:`ClusterReport.to_dict` up to the derived keys the
     encoder injects (utilisation, cache totals — recomputed from the
-    replica rows) and the per-request tuple when the payload was written
-    with ``include_requests=False`` (restored as empty).  All numeric
-    fields round-trip exactly (JSON preserves IEEE-754 doubles), so every
+    replica rows, so :func:`repro.codec.decode` ignores them) and the
+    per-request tuple when the payload was written with
+    ``include_requests=False`` (restored as empty).  All numeric fields
+    round-trip exactly (JSON preserves IEEE-754 doubles), so every
     aggregate a stored report serves is bit-for-bit the computed one.
 
     Raises
     ------
-    KeyError, TypeError
-        If the payload does not carry the report's required fields —
-        callers treating the store as a cache should catch these and fall
-        back to simulating.
+    TypeError, ValueError
+        If the payload lacks a required field or holds one that fails
+        validation — callers treating the store as a cache should catch
+        these and fall back to simulating.
     """
-    data = dict(payload)
-    for derived in ("utilisation", "cost_cache_hits", "cost_cache_misses",
-                    "cost_cache_hit_rate"):
-        data.pop(derived, None)
-    for summary in ("ttft", "tpot", "e2e"):
-        data[summary] = decode_dataclass(LatencySummary, data[summary])
-    data["slo"] = decode_dataclass(SLO, data["slo"])
-    data["cost_model"] = decode_dataclass(FleetCostModel, data["cost_model"])
-    data["replica_timeline"] = tuple(
-        (entry[0], entry[1]) for entry in data["replica_timeline"])
-    data["replicas"] = tuple(decode_dataclass(ReplicaSummary, row)
-                             for row in data["replicas"])
-    data["requests"] = tuple(decode_dataclass(RequestMetrics, row)
-                             for row in data.get("requests", ()))
-    if "resilience" in data:
-        data["resilience"] = decode_dataclass(ResilienceSummary,
-                                              data["resilience"])
-    data["fault_events"] = tuple(decode_dataclass(FaultEvent, row)
-                                 for row in data.get("fault_events", ()))
-    return decode_dataclass(ClusterReport, data)
+    return decode(ClusterReport, payload)
 
 
 def cluster_run_key(model, tpu_config, spec: ServingSpec, settings: object) -> str:
@@ -878,34 +864,44 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
     later — decodes the report instead of replaying the event loop.  This
     is what makes warm ``repro-sim optimize --store`` searches perform
     zero new simulations.
+
+    :func:`load_or_simulate_cluster` runs the same call and also says
+    whether the report was decoded from the store.
+    """
+    return load_or_simulate_cluster(model, tpu_config, spec, settings,
+                                    simulator=simulator, store=store,
+                                    telemetry=telemetry)[0]
+
+
+def load_or_simulate_cluster(
+        model, tpu_config, spec: ServingSpec, settings: object, *,
+        simulator=None, store: "ResultStore | None" = None,
+        telemetry: Telemetry | None = None) -> tuple[ClusterReport, bool]:
+    """:func:`simulate_cluster`, plus whether the store served the report.
+
+    The flag is ``True`` exactly when a stored payload was decoded and
+    returned; a miss, or a stored payload that did not decode and was
+    recomputed, gives ``False``.  It is this call's own outcome, so it
+    stays exact while concurrent callers share the store.
     """
     key = cluster_run_key(model, tpu_config, spec, settings) if store is not None else ""
     if store is not None:
-        payload = store.get(STORE_KIND, key)
-        if payload is not None:
-            try:
-                report = cluster_report_from_dict(payload)
-                # Store-served runs replay nothing: summary-only telemetry,
-                # exactly like fluid estimates.
-                emit_report_summary(telemetry, "cluster", report,
-                                    fidelity="stored")
-                return report
-            except (KeyError, TypeError):
-                # Same-version schema drift: the payload is unusable, so the
-                # lookup was effectively a miss.  Reclassify it — callers
-                # (the optimizer's "new simulations" accounting, the CI
-                # zero-simulation gates) infer "did this call simulate?"
-                # from the miss counter, and the recompute below is real
-                # simulation work.
-                store.stats.hits -= 1
-                store.stats.misses += 1
+        # An undecodable payload comes back as None and counts as a miss:
+        # the optimizer's "new simulations" accounting and the CI
+        # zero-simulation gates read the miss counter.
+        report = store.load(STORE_KIND, key, cluster_report_from_dict)
+        if report is not None:
+            # Store-served runs replay nothing: summary-only telemetry,
+            # exactly like fluid estimates.
+            emit_report_summary(telemetry, "cluster", report, fidelity="stored")
+            return report, True
     if spec.fidelity == "fluid":
         report = _fluid_cluster_report(model, tpu_config, spec, settings,
                                        simulator=simulator)
         emit_report_summary(telemetry, "cluster", report, fidelity="fluid")
         if store is not None:
             store.put(STORE_KIND, key, report.to_dict(include_requests=False))
-        return report
+        return report, False
     classes = request_classes_from_settings(settings)
     trace = generate_trace(spec.trace, classes, spec.arrival_rate,
                            spec.num_requests, spec.seed,
@@ -924,7 +920,7 @@ def simulate_cluster(model, tpu_config, spec: ServingSpec, settings: object, *,
     report = cluster.run(trace, slo=spec.slo, telemetry=telemetry)
     if store is not None:
         store.put(STORE_KIND, key, report.to_dict(include_requests=False))
-    return report
+    return report, False
 
 
 def _fluid_cluster_report(model, tpu_config, spec: ServingSpec,

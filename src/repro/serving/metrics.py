@@ -6,15 +6,18 @@ output token after the first) and end-to-end latency, aggregated into
 percentile summaries, **goodput** under a latency SLO (the rate of requests
 that met *both* the TTFT and TPOT targets), device utilisation and energy
 per generated token.  Everything is a frozen dataclass with a ``to_dict``
-hook, so reports and per-request rows export through the generic encoders in
-:mod:`repro.sweep.export` exactly like sweep rows do.
+hook built on :mod:`repro.codec` (one cached field plan per class, no
+``dataclasses.asdict`` deep copies), so reports and per-request rows export
+through the generic encoders in :mod:`repro.sweep.export` exactly like sweep
+rows do.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+from repro.codec import encode, encode_rows
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -113,7 +116,7 @@ class RequestMetrics:
 
     def to_dict(self) -> dict[str, object]:
         """Plain-dict form used by the JSON/CSV exporters."""
-        return dataclasses.asdict(self)
+        return encode(self)
 
 
 @dataclass(frozen=True)
@@ -314,12 +317,17 @@ class ServingReport:
         return self.cost_cache_hits / lookups if lookups else 0.0
 
     def to_dict(self, include_requests: bool = True) -> dict[str, object]:
-        """Plain-dict form (nested summaries inlined) for JSON export."""
-        payload = dataclasses.asdict(self)
+        """Plain-dict form (nested summaries inlined) for JSON export.
+
+        The per-request rows come out as a list of row dicts, or not at all
+        with ``include_requests=False`` — either way they are encoded at
+        most once.
+        """
+        payload = encode(self, raw=("requests",))
         payload["utilisation"] = self.utilisation
         payload["cost_cache_hit_rate"] = self.cost_cache_hit_rate
         if not include_requests:
             del payload["requests"]
         else:
-            payload["requests"] = [request.to_dict() for request in self.requests]
+            payload["requests"] = encode_rows(self.requests)
         return payload

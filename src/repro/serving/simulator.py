@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.analysis.capacity import serving_kv_budget
+from repro.codec import decode
 from repro.common import Precision, ceil_div
 from repro.core.config import TPUConfig
 from repro.core.simulator import InferenceSimulator
@@ -89,7 +90,6 @@ from repro.serving.spec import ServingSpec
 from repro.serving.trace import Request, generate_trace, request_classes_from_settings
 from repro.sweep.cache import CachingInferenceSimulator
 from repro.sweep.fingerprint import fingerprint
-from repro.sweep.store import decode_dataclass
 from repro.workloads.llm import LLMConfig
 
 #: Store namespace of single-deployment serving reports (the fleet-shaped
@@ -1031,26 +1031,20 @@ def serving_report_from_dict(payload: Mapping[str, object]) -> ServingReport:
 
     The inverse of :meth:`ServingReport.to_dict` up to the derived keys the
     encoder injects (utilisation, cache hit rate — both recomputed from
-    the restored fields).  All numeric fields round-trip exactly (JSON
-    preserves IEEE-754 doubles), so a store-served report is bit-for-bit
-    the computed one, per-request rows included.
+    the restored fields, so :func:`repro.codec.decode` ignores them).  All
+    numeric fields round-trip exactly (JSON preserves IEEE-754 doubles), so
+    a store-served report is bit-for-bit the computed one, per-request rows
+    included.
 
     Raises
     ------
-    KeyError, TypeError
-        If the payload does not carry the report's required fields —
-        callers treating the store as a cache should catch these and fall
-        back to simulating.
+    TypeError, ValueError
+        If the payload lacks a required field or holds one that fails
+        validation (a request row finishing before it arrived) — callers
+        treating the store as a cache should catch these and fall back to
+        simulating.
     """
-    data = dict(payload)
-    for derived in ("utilisation", "cost_cache_hit_rate"):
-        data.pop(derived, None)
-    for summary in ("ttft", "tpot", "e2e"):
-        data[summary] = decode_dataclass(LatencySummary, data[summary])
-    data["slo"] = decode_dataclass(SLO, data["slo"])
-    data["requests"] = tuple(decode_dataclass(RequestMetrics, row)
-                             for row in data.get("requests", ()))
-    return decode_dataclass(ServingReport, data)
+    return decode(ServingReport, payload)
 
 
 def serving_run_key(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
@@ -1095,6 +1089,9 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
     content: a sharded run's report is bit-for-bit the serial one, so they
     deliberately do not enter the store key.
 
+    :func:`load_or_simulate_serving` runs the same call and also says
+    whether the report was decoded from the store.
+
     Raises
     ------
     ValueError
@@ -1102,26 +1099,34 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
         layer, so faulted specs (any replica count) must run through
         :func:`repro.serving.cluster.simulate_cluster`.
     """
+    return load_or_simulate_serving(
+        model, tpu_config, spec, settings, simulator=simulator, store=store,
+        shards=shards, shard_workers=shard_workers, telemetry=telemetry)[0]
+
+
+def load_or_simulate_serving(
+        model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
+        settings: object, *, simulator: InferenceSimulator | None = None,
+        store=None, shards: int = 1, shard_workers: int | None = None,
+        telemetry: Telemetry | None = None) -> tuple[ServingReport, bool]:
+    """:func:`simulate_serving`, plus whether the store served the report.
+
+    The flag is ``True`` exactly when a stored payload was decoded and
+    returned; a miss, or a stored payload that did not decode and was
+    recomputed, gives ``False``.  It is this call's own outcome, so it
+    stays exact while concurrent callers share the store.
+    """
     if spec.faults:
         raise ValueError("fault injection needs the cluster simulator; "
                          "route faulted specs through simulate_cluster")
     key = serving_run_key(model, tpu_config, spec, settings) if store is not None else ""
     if store is not None:
-        payload = store.get(SERVING_STORE_KIND, key)
-        if payload is not None:
-            try:
-                report = serving_report_from_dict(payload)
-                # Store-served runs replay nothing: summary-only telemetry,
-                # exactly like fluid estimates.
-                emit_report_summary(telemetry, "serve", report,
-                                    fidelity="stored")
-                return report
-            except (KeyError, TypeError):
-                # Same-version schema drift: the payload is unusable, so
-                # the lookup was effectively a miss — reclassify it (the
-                # "new simulations" accounting reads the miss counter).
-                store.stats.hits -= 1
-                store.stats.misses += 1
+        report = store.load(SERVING_STORE_KIND, key, serving_report_from_dict)
+        if report is not None:
+            # Store-served runs replay nothing: summary-only telemetry,
+            # exactly like fluid estimates.
+            emit_report_summary(telemetry, "serve", report, fidelity="stored")
+            return report, True
     if spec.fidelity == "fluid":
         from repro.serving.fluid import estimate_serving
 
@@ -1132,7 +1137,7 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
         emit_report_summary(telemetry, "serve", report, fidelity="fluid")
         if store is not None:
             store.put(SERVING_STORE_KIND, key, report.to_dict())
-        return report
+        return report, False
     classes = request_classes_from_settings(settings)
     trace = generate_trace(spec.trace, classes, spec.arrival_rate,
                            spec.num_requests, spec.seed, overlay=spec.overlay)
@@ -1146,4 +1151,4 @@ def simulate_serving(model: LLMConfig, tpu_config: TPUConfig, spec: ServingSpec,
                         shard_workers=shard_workers, telemetry=telemetry)
     if store is not None:
         store.put(SERVING_STORE_KIND, key, report.to_dict())
-    return report
+    return report, False

@@ -25,9 +25,10 @@ from __future__ import annotations
 import logging
 import multiprocessing
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.codec import decode, encode
 from repro.core.config import TPUConfig
 from repro.obs.telemetry import Telemetry
 from repro.parallel.multi_device import MultiTPUSystem
@@ -81,7 +82,7 @@ class SweepResult:
 
     def to_dict(self) -> dict[str, object]:
         """Plain-dict form used by the JSON/CSV exporters."""
-        return asdict(self)
+        return encode(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "SweepResult":
@@ -91,9 +92,7 @@ class SweepResult:
         still loads where possible; missing required fields raise
         ``TypeError``, which the engine treats as a store miss.
         """
-        from repro.sweep.store import decode_dataclass
-
-        return decode_dataclass(cls, payload)
+        return decode(cls, payload)
 
 
 @dataclass
@@ -351,17 +350,12 @@ class SweepEngine:
         """Decode a stored row (``None`` without a store or on a miss)."""
         if self.store is None:
             return None
-        payload = self.store.get(STORE_KIND, key)
-        if payload is not None:
-            try:
-                row = SweepResult.from_dict(payload)
-            except TypeError:  # schema drift inside one store version
-                row = None
-            if row is not None:
-                self._store_hits += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("sweep.store_hits")
-                return row
+        row = self.store.load(STORE_KIND, key, SweepResult.from_dict)
+        if row is not None:
+            self._store_hits += 1
+            if self.telemetry is not None:
+                self.telemetry.count("sweep.store_hits")
+            return row
         self._store_misses += 1
         if self.telemetry is not None:
             self.telemetry.count("sweep.store_misses")

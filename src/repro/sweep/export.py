@@ -7,9 +7,10 @@ cleanly between runs.
 
 The encoders are *row-type generic*: any iterable of frozen dataclasses
 works (sweep rows, serving reports, per-request metrics...).  Rows encode
-through their ``to_dict`` hook when they define one, falling back to
-``dataclasses.asdict``; CSV column order is the row dataclass's field
-order, exactly as for :class:`~repro.sweep.engine.SweepResult`.
+through their ``to_dict`` hook when they define one, falling back to the
+field-plan codec (:func:`repro.codec.encode`); CSV column order is the row
+dataclass's field order, exactly as for
+:class:`~repro.sweep.engine.SweepResult`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import pathlib
 from collections.abc import Iterable, Sequence
 from typing import Any
 
+from repro.codec import encode, field_names
 from repro.sweep.engine import SweepResult
 
 #: Column order of the sweep-row export (that dataclass's field order);
 #: other row types derive their columns the same way.
-FIELDNAMES: tuple[str, ...] = tuple(
-    field.name for field in dataclasses.fields(SweepResult))
+FIELDNAMES: tuple[str, ...] = field_names(SweepResult)
 
 
 def _row_dict(row: Any) -> dict[str, object]:
@@ -36,14 +37,14 @@ def _row_dict(row: Any) -> dict[str, object]:
     if callable(to_dict):
         return to_dict()
     if dataclasses.is_dataclass(row) and not isinstance(row, type):
-        return dataclasses.asdict(row)
+        return encode(row)
     raise TypeError(f"cannot export row of type {type(row).__name__}: "
                     "expected a dataclass or a to_dict() hook")
 
 
 def fieldnames_of(row_type: type) -> tuple[str, ...]:
     """The CSV column order of a row dataclass (its field order)."""
-    return tuple(field.name for field in dataclasses.fields(row_type))
+    return field_names(row_type)
 
 
 def _fieldnames_for(rows: Sequence[Any]) -> tuple[str, ...]:

@@ -32,6 +32,11 @@ Design points, stated explicitly:
   or interleave partial records.  Separate *processes* appending to one
   file interleave whole lines too (POSIX ``O_APPEND`` semantics for
   single-write lines), which loading already tolerates by design.
+* **Unusable payloads are misses.**  Payloads decode through
+  :func:`repro.codec.decode` (unknown keys ignored, missing required
+  fields a ``TypeError``, the result class's own validation a
+  ``ValueError``); :meth:`ResultStore.load` counts any such failure as a
+  miss, so the caller recomputes and re-puts instead of failing.
 * **JSON round-trip exactness.**  Floats serialise via ``repr`` semantics
   (Python's ``json``), which round-trips IEEE-754 doubles exactly — a
   store-served row is bit-for-bit the row that was computed.
@@ -44,14 +49,13 @@ store, which is what makes repeated/resumed co-design searches
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
 import pathlib
 import threading
-from collections.abc import Iterator, Mapping
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.sweep.cache import CacheStats
 
@@ -64,17 +68,7 @@ logger = logging.getLogger(__name__)
 #: meaning (not when new kinds are added); older records are then ignored.
 STORE_VERSION = 1
 
-
-def decode_dataclass(cls: type, payload: Mapping[str, Any]) -> Any:
-    """Construct a (flat) dataclass from a stored payload.
-
-    The one decode policy every store kind shares: unknown keys are
-    ignored (a store written by a newer minor schema still loads where
-    possible), missing required fields raise ``TypeError`` — which callers
-    treat as a store miss, not an error.
-    """
-    names = {field.name for field in dataclasses.fields(cls)}
-    return cls(**{key: value for key, value in payload.items() if key in names})
+_T = TypeVar("_T")
 
 
 class ResultStore:
@@ -158,6 +152,31 @@ class ResultStore:
             if self.telemetry is not None:
                 self.telemetry.count("store.hit")
             return value
+
+    def load(self, kind: str, key: str,
+             decoder: Callable[[Any], _T]) -> _T | None:
+        """The stored payload rebuilt by ``decoder``, or ``None`` on a miss.
+
+        A payload that is present but unusable — ``decoder`` raises
+        ``KeyError``/``TypeError`` (same-version schema drift: missing or
+        misshapen fields) or ``ValueError`` (a value failing the result
+        class's validation) — is a miss too: the hit :meth:`get` just
+        counted is reclassified, because callers infer "did this call
+        simulate?" from the miss counter and the recompute that follows is
+        real simulation work.
+        """
+        payload = self.get(kind, key)
+        if payload is None:
+            return None
+        try:
+            return decoder(payload)
+        except (KeyError, TypeError, ValueError) as error:
+            logger.warning("store %s: unusable %s payload %s… treated as a "
+                           "miss (%s)", self.path, kind, key[:12], error)
+            with self._lock:
+                self.stats.hits -= 1
+                self.stats.misses += 1
+            return None
 
     def put(self, kind: str, key: str, value: Any) -> None:
         """Store a JSON-serialisable payload and append it to the file.

@@ -187,6 +187,42 @@ class TestSimulateFacade:
         assert warm.served_from_store
         assert dict(warm.report) == dict(cold.report)
 
+    @pytest.mark.parametrize("replicas", [1, 2], ids=["serving", "fleet"])
+    @pytest.mark.parametrize("damage", ["missing-field", "invalid-value"])
+    def test_undecodable_stored_payload_is_a_recomputed_miss(
+            self, tmp_path, replicas, damage):
+        """A stored payload that does not decode is a miss, not a hit.
+
+        The engine recomputes and re-puts it, so the response must say one
+        new simulation — and never an engine error for a valid request.
+        """
+        store = ResultStore(tmp_path / "store.jsonl")
+        request = SimulateRequest(**FAST, replicas=replicas)
+        cold = api.simulate(request, store=store)
+        [(kind, key)] = store.keys()
+        payload = json.loads(json.dumps(store.get(kind, key)))
+        if damage == "missing-field":
+            del payload["makespan_s"]
+        elif replicas == 1:
+            # A request finishing before it arrived fails validation.
+            row = payload["requests"][0]
+            row["finish_s"] = row["arrival_s"] - 1.0
+        else:
+            payload["slo"]["ttft_s"] = -1.0
+        store.put(kind, key, payload)
+
+        misses = store.stats.misses
+        damaged = api.simulate(request, store=store)
+        assert not damaged.served_from_store
+        assert damaged.new_simulations == 1
+        assert (damaged.store_hits, damaged.store_misses) == (0, 1)
+        assert store.stats.misses == misses + 1
+        assert strip_accounting(damaged.to_dict()) == \
+            strip_accounting(cold.to_dict())
+        # The recompute was stored again: the next repeat is a real hit.
+        warm = api.simulate(request, store=store)
+        assert warm.served_from_store and warm.new_simulations == 0
+
     def test_unusable_store_is_an_engine_error(self):
         store = ResultStore("/proc/nope/store.jsonl")
         with pytest.raises(ApiRequestError) as excinfo:

@@ -290,6 +290,44 @@ class TestJobManager:
             assert manager.wait(job.job_id, timeout=30).status == "done"
         manager.shutdown()
 
+    def test_wait_deadline_ignores_wall_clock_steps(self, monkeypatch):
+        """A wall clock jumping by an hour per read must not move the deadline."""
+        release = threading.Event()
+
+        def runner(request, **kwargs):
+            release.wait(timeout=30)
+            return api.run(request)
+
+        manager = JobManager(None, workers=1, runner=runner)
+        try:
+            job = manager.submit(AutoconfigPreviewRequest(llm="llama2-7b"))
+            wall = [time.time()]
+
+            def jumping(step):
+                def read():
+                    wall[0] += step
+                    return wall[0]
+                return read
+
+            # Forward jumps: a wall-clock deadline would expire at once,
+            # although the job finishes well inside the timeout.
+            monkeypatch.setattr(time, "time", jumping(3600.0))
+            threading.Timer(0.2, release.set).start()
+            assert manager.wait(job.job_id, timeout=30).status == "done"
+
+            # Backward jumps: a wall-clock deadline would never arrive; the
+            # monotonic one still times the stuck job out.
+            release.clear()
+            stuck = manager.submit(AutoconfigPreviewRequest(llm="llama2-7b"))
+            monkeypatch.setattr(time, "time", jumping(-3600.0))
+            start = time.monotonic()
+            with pytest.raises(TimeoutError, match="still"):
+                manager.wait(stuck.job_id, timeout=0.3)
+            assert time.monotonic() - start < 10
+        finally:
+            release.set()
+            manager.shutdown()
+
     def test_submit_after_shutdown_is_rejected(self):
         manager = JobManager(None, workers=1)
         manager.shutdown()
